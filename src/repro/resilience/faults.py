@@ -206,9 +206,9 @@ class FaultPlan:
 #: * ``fault.wal-torn-write`` — a WAL append is torn mid-record (the
 #:   tail bytes are truncated, as a power loss would); recovery must
 #:   drop exactly the torn record and keep every earlier one.
-#: * ``fault.fold-in-nan`` — one folded row of a fold-in solve is
-#:   flipped to NaN before install; the ingest engine must detect it and
-#:   re-solve rather than publish a poisoned row.
+#: * ``fault.fold-in-nan`` — one lane of the next fold-in solve's staged
+#:   system is flipped to NaN; the guard ladder must quarantine and
+#:   re-solve it rather than publish a poisoned row.
 #: * ``fault.delta-apply-during-traffic`` — a delta-checkpoint apply is
 #:   forced onto the store mid-traffic (must be invisible to scoring
 #:   except for the rows it legitimately updates).

@@ -86,7 +86,6 @@ class BenchConfig:
     fleet_workers: int = 2
     fleet_k: int = 10
     ingest_delta_ratings: int = 64
-    ingest_shards: int = 4
 
     def __post_init__(self) -> None:
         if min(self.m, self.n, self.nnz, self.f) < 1:
@@ -115,7 +114,7 @@ class BenchConfig:
             self.fleet_k,
         ) < 1:
             raise ValueError("fleet shape values must be positive")
-        if min(self.ingest_delta_ratings, self.ingest_shards) < 1:
+        if self.ingest_delta_ratings < 1:
             raise ValueError("ingest shape values must be positive")
 
     def as_dict(self) -> dict:
@@ -141,7 +140,6 @@ class BenchConfig:
             "fleet_workers": self.fleet_workers,
             "fleet_k": self.fleet_k,
             "ingest_delta_ratings": self.ingest_delta_ratings,
-            "ingest_shards": self.ingest_shards,
         }
 
 
@@ -616,9 +614,7 @@ def _bench_ingest(cfg: BenchConfig) -> dict:
                 x,
                 theta,
                 data,
-                config=IngestConfig(
-                    lam=cfg.lam, shards=cfg.ingest_shards, cg=cg_cfg
-                ),
+                config=IngestConfig(lam=cfg.lam, cg=cg_cfg),
                 directory=os.path.join(tmp, f"rep-{rep}"),
             )
             for user, item, rating in deltas:
@@ -636,7 +632,6 @@ def _bench_ingest(cfg: BenchConfig) -> dict:
         "foldin_ms": foldin_seconds * 1e3,
         "delta_ratings": cfg.ingest_delta_ratings,
         "rows_folded": rows_folded,
-        "shards": cfg.ingest_shards,
     }
 
 

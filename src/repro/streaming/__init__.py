@@ -8,9 +8,10 @@ recoverable state:
 * :class:`RatingsWAL` — an append-only, segment-rotated, per-record
   checksummed write-ahead log.  A rating is acked only after its record
   is fsynced; recovery truncates a torn tail and replays exactly.
-* :class:`IngestEngine` — accumulates WAL deltas in a dirty-shard map
-  and folds them in with warm-started batched-CG row solves; clean
-  shards are never touched (bit-identity is pinned by tests and VF112).
+* :class:`IngestEngine` — accumulates WAL deltas as dirty rows and
+  folds them in through the trainers' warm-started ``ShardExecutor``
+  half-step, at O(dirty nnz); clean rows are never written
+  (bit-identity is pinned by tests and VF112).
 * :mod:`repro.streaming.delta` — delta checkpoints chained by state
   digest off a base checkpoint, compacted back to a full checkpoint;
   crash-safe resume is ``base + ordered deltas + WAL tail``.

@@ -167,7 +167,7 @@ def run_ingest_drill(
     model_path = os.path.join(workdir, "model.npz")
     _train_and_save(model_path, train, seed, f)
 
-    ingest_cfg = IngestConfig(shards=4, compact_every=3, segment_records=64)
+    ingest_cfg = IngestConfig(compact_every=3, segment_records=64)
 
     plan = ServingFaultPlan(seed=seed, **INGEST_DRILL_RATES) if chaos else None
     engine = ServingEngine(

@@ -1,19 +1,18 @@
-"""`IngestEngine`: online fold-in of streamed ratings over dirty shards.
+"""`IngestEngine`: online fold-in of streamed ratings over dirty rows.
 
 The batch trainers rebuild both factor matrices from scratch; the ingest
 engine updates exactly the rows whose data changed.  Each streamed
 rating is (1) made durable in the :class:`~repro.streaming.wal
-.RatingsWAL` and acked, (2) merged into the engine's rating corpus and
-marked in the **dirty-shard map**, and (3) folded in at the next
-:meth:`apply`: for every dirty shard, the dirty rows' normal equations
-are formed by the same :func:`~repro.core.hermitian.hermitian_rows`
-kernel the trainers use and solved by **warm-started**
-:func:`~repro.core.cg.cg_solve_batched` (``x0`` = the rows' current
-factors — the single-row solve shape the paper's batched CG was built
-for), user side first, then items against the just-updated user rows.
-Clean shards are never touched, so every row outside the dirty set is
-**bit-identical** before and after an apply — the drill and VF112 pin
-that, not just assert it.
+.RatingsWAL` and acked, (2) merged into the streamed overlay, marking
+its user and item dirty, and (3) folded in at the next :meth:`apply`:
+the dirty rows are gathered into a compact CSR and solved by the
+trainers' own :meth:`~repro.runtime.executor.ShardExecutor.half_step`,
+**warm-started** from their current factors, user side first, then
+items against the just-updated users.  An apply costs O(dirty nnz).
+Clean rows are never written, so they stay **bit-identical** — the
+drill and VF112 pin that.  The executor carries a
+:class:`~repro.resilience.guards.GuardPolicy`, so the guard ladder is
+the only repair path for a poisoned lane.
 
 Every apply writes a barrier record into the WAL and a delta checkpoint
 (:mod:`repro.streaming.delta`); crash-safe resume is therefore
@@ -24,24 +23,30 @@ bit-identical factors (:meth:`IngestEngine.resume`).
 Conventions: with ``alpha=None`` the engine folds in under the explicit
 ALS-WR objective (λ scaled by the row's rating count, exactly
 :class:`~repro.core.als.ALSModel`'s half-step); with ``alpha`` set it
-uses the implicit-feedback hooks (confidence weights ``α·r``, preference
-bias ``1 + α·r``, Gram-matrix completion, plain λ) matching
-:class:`~repro.core.implicit.ImplicitALSModel`.
+passes the implicit-feedback hooks (confidence weights ``α·r``,
+preference bias ``1 + α·r``, Gram-matrix completion, plain λ) exactly as
+:class:`~repro.core.implicit.ImplicitALSModel` does.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
-from ..core.cg import cg_solve_batched
+# perfbench's layer probes look these names up in this module.
+from ..core.cg import cg_solve_batched  # noqa: F401
 from ..core.config import CGConfig, Precision
-from ..core.hermitian import hermitian_rows
-from ..core.multi_gpu import partition_rows
+from ..core.hermitian import hermitian_rows  # noqa: F401
 from ..data.sparse import RatingMatrix
 from ..resilience.checkpoint import Checkpoint, latest_checkpoint, save_checkpoint
+from ..resilience.faults import FaultPlan
+from ..resilience.guards import GuardPolicy
+from ..runtime.executor import CsrView, ShardExecutor
+from ..runtime.plan import RuntimePlan
 from ..serving.health import ServingHealth
 from .delta import (
     DeltaCheckpoint,
@@ -55,6 +60,14 @@ from .wal import RatingsWAL
 
 __all__ = ["FoldInResult", "IngestConfig", "IngestEngine"]
 
+#: The fold-in execution plan: the tuned kernels the trainers' fast path
+#: runs (grouped Gram formation, fused CG), serial on one shard.
+_FOLDIN_PLAN = RuntimePlan(method="grouped", cg_backend="fused")
+
+#: The armed ``fault.fold-in-nan`` fault: one lane of the next user-side
+#: fold-in has its staged normal equations flipped to NaN.
+_POISON = FaultPlan(nan_rate=1.0)
+
 
 @dataclass(frozen=True)
 class IngestConfig:
@@ -62,7 +75,6 @@ class IngestConfig:
 
     lam: float = 0.05
     alpha: float | None = None  # None: explicit ALS-WR; set: implicit hooks
-    shards: int = 4
     cg: CGConfig = CGConfig(max_iters=6)
     precision: Precision = Precision.FP32
     compact_every: int = 4  # deltas per compaction back to a full checkpoint
@@ -73,8 +85,6 @@ class IngestConfig:
             raise ValueError("lam must be non-negative")
         if self.alpha is not None and self.alpha <= 0:
             raise ValueError("alpha must be positive (or None for explicit)")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
         if self.compact_every < 1:
             raise ValueError("compact_every must be >= 1")
         if self.segment_records < 1:
@@ -84,7 +94,6 @@ class IngestConfig:
         return {
             "lam": self.lam,
             "alpha": self.alpha,
-            "shards": self.shards,
             "cg_max_iters": self.cg.max_iters,
             "cg_tol": self.cg.tol,
             "precision": self.precision.value,
@@ -103,13 +112,23 @@ class FoldInResult:
     items: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     item_rows: np.ndarray = field(default_factory=lambda: np.empty((0, 0), np.float32))
     applied_seqs: tuple[int, ...] = ()  # rating seqs folded in by this apply
-    dirty_user_shards: tuple[int, ...] = ()
-    dirty_item_shards: tuple[int, ...] = ()
-    foldin_repairs: int = 0  # poisoned lanes detected and re-solved
+    foldin_repairs: int = 0  # lanes the guard ladder re-solved
 
     @property
     def noop(self) -> bool:
         return self.seq < 0
+
+
+def _coo(rows: Iterable[tuple[int, dict[int, float]]]):
+    """COO triplets of ``(label, {column: rating})`` overlay rows."""
+    r: list[int] = []
+    c: list[int] = []
+    v: list[float] = []
+    for label, entries in rows:
+        r += [label] * len(entries)
+        c += entries
+        v += entries.values()
+    return np.array(r, np.int64), np.array(c, np.int64), np.array(v, np.float32)
 
 
 class IngestEngine:
@@ -138,18 +157,12 @@ class IngestEngine:
                 f"base ratings {base_ratings.m}x{base_ratings.n} do not match "
                 f"factors {self.m}x{self.n}"
             )
-        # The corpus: base entries in CSR order, then streamed merges in
-        # WAL-sequence order.  Replay reproduces the same insertion order,
-        # which keeps the rebuilt CSR (and therefore every solve)
-        # bit-identical across resumes.
-        self._entries: dict[tuple[int, int], float] = {}
-        for u in range(base_ratings.m):
-            lo, hi = base_ratings.row_ptr[u], base_ratings.row_ptr[u + 1]
-            for v, r in zip(
-                base_ratings.col_idx[lo:hi], base_ratings.row_val[lo:hi]
-            ):
-                self._entries[(int(u), int(v))] = float(r)
-        self._streamed: dict[tuple[int, int], float] = {}
+        # The corpus: the base matrix (CSR for users, CSC for items) plus
+        # the streamed overlay, indexed both ways.  A dirty row is merged
+        # from the two on demand; nothing corpus-sized is ever rebuilt.
+        self._base = base_ratings
+        self._streamed_by_user: dict[int, dict[int, float]] = {}
+        self._streamed_by_item: dict[int, dict[int, float]] = {}
         self._pending: list[tuple[int, int, int, float]] = []  # seq, u, v, r
         self._dirty_users: set[int] = set()
         self._dirty_items: set[int] = set()
@@ -164,7 +177,9 @@ class IngestEngine:
         #: the *next* fold-in gets one lane poisoned.
         self.tear_next_append = False
         self.poison_next_foldin = False
-        self._last_repairs = 0
+        #: The fold-in solver; its ``health`` log carries the guard
+        #: ladder's ``guard.*`` events.
+        self.executor = ShardExecutor(_FOLDIN_PLAN, guard=GuardPolicy())
 
         self.wal = RatingsWAL(
             os.path.join(self.directory, "wal"),
@@ -228,17 +243,13 @@ class IngestEngine:
         for u, v, r in zip(
             state.corpus_users, state.corpus_items, state.corpus_ratings
         ):
-            key = (int(u), int(v))
-            engine._entries[key] = float(r)
-            engine._streamed[key] = float(r)
+            engine._merge(int(u), int(v), float(r))
         # WAL replay: merge reflected records, re-apply the tail.
         for rec in engine.wal.replay():
             if rec.seq <= state.corpus_seq:
                 continue
             if rec.kind == "rating":
-                key = (rec.user, rec.item)
-                engine._entries[key] = rec.rating
-                engine._streamed[key] = rec.rating
+                engine._merge(rec.user, rec.item, rec.rating)
                 if rec.seq > state.applied_seq:
                     engine._pending.append(
                         (rec.seq, rec.user, rec.item, rec.rating)
@@ -264,6 +275,11 @@ class IngestEngine:
         """Users with acked-but-unapplied ratings (read-your-writes set)."""
         return {u for _seq, u, _v, _r in self._pending}
 
+    def _merge(self, user: int, item: int, rating: float) -> None:
+        """Overlay one streamed rating; a re-rating replaces the old value."""
+        self._streamed_by_user.setdefault(user, {})[item] = rating
+        self._streamed_by_item.setdefault(item, {})[user] = rating
+
     def ingest(
         self,
         user: int,
@@ -279,6 +295,8 @@ class IngestEngine:
         if not 0 <= item < self.n:
             raise ValueError(f"item {item} outside [0, {self.n})")
         rating = float(rating)
+        if not math.isfinite(rating):
+            raise ValueError(f"rating {rating} is not finite")
         if self.tear_next_append:
             # The armed wal-torn-write fault: the first append attempt
             # tears (power loss mid-write), recovery truncates the torn
@@ -295,9 +313,7 @@ class IngestEngine:
                     detail=f"torn tail truncated ({dropped} bytes)",
                 )
         seq = self.wal.append(user, item, rating)
-        key = (user, item)
-        self._entries[key] = rating
-        self._streamed[key] = rating
+        self._merge(user, item, rating)
         self._pending.append((seq, user, item, rating))
         self._dirty_users.add(user)
         self._dirty_items.add(item)
@@ -313,112 +329,82 @@ class IngestEngine:
 
     # -- fold-in ------------------------------------------------------------
 
-    def _matrix(self) -> RatingMatrix:
-        keys = self._entries.keys()
-        rows = np.fromiter((k[0] for k in keys), dtype=np.int64, count=len(keys))
-        cols = np.fromiter((k[1] for k in keys), dtype=np.int64, count=len(keys))
-        vals = np.fromiter(
-            self._entries.values(), dtype=np.float32, count=len(self._entries)
-        )
-        return RatingMatrix.from_coo(rows, cols, vals, m=self.m, n=self.n)
+    def _dirty_rows(self, ids: np.ndarray, *, items: bool) -> CsrView:
+        """Compact CSR of rows ``ids`` (re-numbered 0..k) of the corpus.
 
-    def _gather(
-        self, matrix: RatingMatrix, rows: np.ndarray
-    ) -> RatingMatrix:
-        """Compact sub-matrix holding exactly ``rows`` (re-numbered 0..k)."""
-        parts_r, parts_c, parts_v = [], [], []
-        for i, u in enumerate(rows):
-            lo, hi = int(matrix.row_ptr[u]), int(matrix.row_ptr[u + 1])
-            parts_r.append(np.full(hi - lo, i, dtype=np.int64))
-            parts_c.append(matrix.col_idx[lo:hi].astype(np.int64))
-            parts_v.append(matrix.row_val[lo:hi])
-        if parts_r:
-            r = np.concatenate(parts_r)
-            c = np.concatenate(parts_c)
-            v = np.concatenate(parts_v)
+        Each row is its base slice (CSR for users, CSC for items) with
+        the streamed overlay merged in, newest rating winning, in
+        ascending column order — the row ``RatingMatrix.from_coo`` of
+        the whole merged corpus would hold.
+        """
+        base = self._base
+        if items:
+            ptr, idx, val = base.col_ptr, base.row_idx, base.col_val
+            width, overlay = self.m, self._streamed_by_item
         else:
-            r = np.empty(0, dtype=np.int64)
-            c = np.empty(0, dtype=np.int64)
-            v = np.empty(0, dtype=np.float32)
-        return RatingMatrix.from_coo(r, c, v, m=len(rows), n=matrix.n)
-
-    def _solve_rows(
-        self,
-        matrix: RatingMatrix,
-        fixed: np.ndarray,
-        rows: np.ndarray,
-        warm: np.ndarray,
-    ) -> np.ndarray:
-        """Warm-started fold-in solve for one dirty-shard row set."""
-        cfg = self.config
-        sub = self._gather(matrix, rows)
-        if cfg.alpha is None:
-            A, b = hermitian_rows(sub, fixed, cfg.lam, count_weighted_reg=True)
-        else:
-            A, b = hermitian_rows(
-                sub,
-                fixed,
-                0.0,
-                entry_weights=cfg.alpha * sub.row_val,
-                bias_values=1.0 + cfg.alpha * sub.row_val,
-                count_weighted_reg=False,
-            )
-            gram = (fixed.T @ fixed).astype(np.float32)
-            A += gram[None, :, :]
-            A[:, np.arange(self.f), np.arange(self.f)] += np.float32(cfg.lam)
-        result = cg_solve_batched(
-            A, b, x0=warm.copy(), config=cfg.cg, precision=cfg.precision
+            ptr, idx, val = base.row_ptr, base.col_idx, base.row_val
+            width, overlay = self.n, self._streamed_by_user
+        lo = ptr[ids]
+        counts = ptr[ids + 1] - lo
+        starts = np.cumsum(counts) - counts
+        row = np.repeat(np.arange(ids.size, dtype=np.int64), counts)
+        pos = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
+            lo - starts, counts
         )
-        solved = result.x
-        if self.poison_next_foldin:
-            # The armed fold-in-nan fault: one solved lane is flipped to
-            # NaN before install, as a corrupted solver store would.
-            self.poison_next_foldin = False
-            solved[0] = np.nan
-        bad = ~np.all(np.isfinite(solved), axis=1)
-        if np.any(bad):
-            # Never install a poisoned row: re-solve broken lanes from
-            # the pristine normal equations (exact, like the guard
-            # ladder's LU rung).
-            idx = np.flatnonzero(bad)
-            solved[idx] = np.linalg.solve(
-                A[idx].astype(np.float64), b[idx].astype(np.float64)[..., None]
-            )[..., 0].astype(np.float32)
-            self.foldin_repairs += len(idx)
-            self._last_repairs += len(idx)
-        return solved
+        col = idx[pos].astype(np.int64)
+        o_row, o_col, o_val = _coo(
+            (i, overlay[k]) for i, k in enumerate(ids.tolist()) if k in overlay
+        )
+        keep = ~np.isin(row * width + col, o_row * width + o_col)
+        row = np.concatenate([row[keep], o_row])
+        col = np.concatenate([col[keep], o_col])
+        vals = np.concatenate([val[pos][keep], o_val])
+        order = np.lexsort((col, row))
+        row_ptr = np.zeros(ids.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=ids.size), out=row_ptr[1:])
+        return CsrView(
+            m=int(ids.size),
+            n=width,
+            row_ptr=row_ptr,
+            col_idx=col[order],
+            row_val=vals[order],
+        )
 
     def _fold_side(
-        self,
-        matrix: RatingMatrix,
-        fixed: np.ndarray,
-        target: np.ndarray,
-        dirty: set[int],
-    ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-        """One half of an apply: solve dirty rows shard-by-shard."""
+        self, dirty: set[int], fixed: np.ndarray, target: np.ndarray, key: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One half of an apply: re-solve the dirty rows of ``target``."""
         if not dirty:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty((0, self.f), dtype=np.float32),
-                (),
-            )
-        spans = partition_rows(matrix.row_ptr, self.config.shards)
-        dirty_sorted = np.array(sorted(dirty), dtype=np.int64)
-        out_rows: list[np.ndarray] = []
-        out_ids: list[np.ndarray] = []
-        shards_hit: list[int] = []
-        for shard, (lo, hi) in enumerate(spans):
-            in_shard = dirty_sorted[(dirty_sorted >= lo) & (dirty_sorted < hi)]
-            if in_shard.size == 0:
-                continue  # clean shard: never touched
-            shards_hit.append(shard)
-            solved = self._solve_rows(matrix, fixed, in_shard, target[in_shard])
-            out_ids.append(in_shard)
-            out_rows.append(solved)
-        ids = np.concatenate(out_ids)
-        rows = np.concatenate(out_rows)
-        target[ids] = rows
-        return ids, rows, tuple(shards_hit)
+            return np.empty(0, dtype=np.int64), np.empty((0, self.f), dtype=np.float32)
+        cfg = self.config
+        ids = np.array(sorted(dirty), dtype=np.int64)
+        rows = self._dirty_rows(ids, items=key == "theta")
+        if cfg.alpha is None:
+            hooks: dict = {"lam": cfg.lam}
+        else:
+            vals = rows.row_val
+            hooks = {
+                "lam": 0.0,
+                "gram": fixed.T @ fixed,
+                "extra_diag": cfg.lam,
+                "entry_weights": cfg.alpha * vals,
+                "bias_values": 1.0 + cfg.alpha * vals,
+                "count_weighted_reg": False,
+            }
+        result = self.executor.half_step(
+            rows,
+            fixed,
+            target[ids],
+            cg_config=cfg.cg,
+            precision=cfg.precision,
+            key=key,
+            **hooks,
+        )
+        # The factors live in the executor's persistent buffer, which the
+        # next half-step overwrites: copy them out before installing.
+        solved = result.factors.copy()
+        target[ids] = solved
+        return ids, solved
 
     def apply(
         self,
@@ -451,14 +437,24 @@ class IngestEngine:
         tick: int = -1,
         checkpoint: bool = True,
     ) -> FoldInResult:
-        self._last_repairs = 0
-        matrix = self._matrix()
-        users, user_rows, user_shards = self._fold_side(
-            matrix, self.theta, self.x, self._dirty_users
+        log = self.executor.health.events
+        mark = len(log)
+        if self.poison_next_foldin:
+            self.poison_next_foldin = False
+            self.executor.faults = _POISON
+        try:
+            users, user_rows = self._fold_side(
+                self._dirty_users, self.theta, self.x, "x"
+            )
+        finally:
+            self.executor.faults = None
+        items, item_rows = self._fold_side(
+            self._dirty_items, self.x, self.theta, "theta"
         )
-        items, item_rows, item_shards = self._fold_side(
-            matrix.transpose(), self.x, self.theta, self._dirty_items
+        repairs = sum(
+            len(e.lanes) for e in log[mark:] if e.kind.startswith("guard.repair-")
         )
+        self.foldin_repairs += repairs
         applied_seqs = tuple(seq for seq, *_rest in self._pending)
         parent = self._digest
         self._digest = state_digest(self.x, self.theta)
@@ -502,20 +498,13 @@ class IngestEngine:
             items=items,
             item_rows=item_rows,
             applied_seqs=applied_seqs,
-            dirty_user_shards=user_shards,
-            dirty_item_shards=item_shards,
-            foldin_repairs=self._last_repairs,
+            foldin_repairs=repairs,
         )
 
     def _compact(
         self, *, health: ServingHealth | None = None, tick: int = -1
     ) -> None:
-        keys = self._streamed.keys()
-        cu = np.fromiter((k[0] for k in keys), dtype=np.int64, count=len(keys))
-        ci = np.fromiter((k[1] for k in keys), dtype=np.int64, count=len(keys))
-        cr = np.fromiter(
-            self._streamed.values(), dtype=np.float32, count=len(self._streamed)
-        )
+        cu, ci, cr = _coo(self._streamed_by_user.items())
         compact(
             self.directory,
             ordinal=self.ordinal,
@@ -534,7 +523,7 @@ class IngestEngine:
                 "ingest.compacted",
                 tick=tick,
                 detail=(
-                    f"ordinal {self.ordinal}, {len(self._streamed)} streamed "
+                    f"ordinal {self.ordinal}, {cu.size} streamed "
                     f"entries, seq {self.applied_seq}"
                 ),
             )
@@ -545,7 +534,7 @@ class IngestEngine:
             "applies": self.applies,
             "compactions": self.compactions,
             "pending": len(self._pending),
-            "streamed_entries": len(self._streamed),
+            "streamed_entries": sum(map(len, self._streamed_by_user.values())),
             "solved_users": len(self.solved_users),
             "solved_items": len(self.solved_items),
             "applied_seq": self.applied_seq,
@@ -558,3 +547,4 @@ class IngestEngine:
 
     def close(self) -> None:
         self.wal.close()
+        self.executor.close()

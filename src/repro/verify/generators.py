@@ -394,7 +394,7 @@ class IngestCase:
     tail torn mid-record — resumes from ``base checkpoint + deltas +
     WAL replay`` into **bit-identical** factors, (2) rows outside the
     dirty sets are bit-identical to the pre-stream factors (fold-in
-    touches only dirty shards), and (3) explicit-mode fold-in stays
+    writes only dirty rows), and (3) explicit-mode fold-in stays
     within a calibrated RMSE envelope of a full retrain over the
     updated corpus.  ``alpha == 0`` draws the explicit ALS-WR
     objective; positive alpha exercises the implicit hooks (replay and
@@ -408,7 +408,6 @@ class IngestCase:
     streamed: int
     apply_every: int
     kill_at: int
-    shards: int
     compact_every: int
     fs: int
     lam: float
@@ -428,8 +427,6 @@ class IngestCase:
             raise ValueError("apply_every must be >= 1")
         if not 0 <= self.kill_at <= self.streamed:
             raise ValueError("kill_at must be within [0, streamed]")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
         if self.compact_every < 1:
             raise ValueError("compact_every must be >= 1")
         if self.fs < 1:
@@ -867,7 +864,6 @@ def draw_ingest_case(rng: np.random.Generator) -> IngestCase:
         # Anywhere in the stream, including 0 (resume before anything
         # was applied) and streamed (resume of a finished run).
         kill_at=int(rng.integers(0, streamed + 1)),
-        shards=int(rng.integers(1, 5)),
         compact_every=int(rng.integers(1, 4)),
         fs=int(rng.integers(2, 7)),
         lam=round(float(10.0 ** rng.uniform(-2, 0.0)), 6),

@@ -1336,9 +1336,8 @@ def check_streaming_foldin(case: IngestCase) -> list[Diagnostic]:
        WAL replay`` and is driven to the same end; factors and state
        digest must be **bit-identical** to the uninterrupted run's.
     2. **clean rows** — every user/item row the fold-in never solved
-       must be bit-identical to the pre-stream factors: dirty-shard
-       application may not perturb clean shards (or clean rows inside
-       dirty shards) by even one ULP.
+       must be bit-identical to the pre-stream factors: fold-in may
+       not perturb a row outside its dirty sets by even one ULP.
     3. **retrain envelope** (explicit mode only) — RMSE of the
        folded-in model over the *updated* corpus must stay within a
        calibrated envelope of a full retrain from scratch: fold-in
@@ -1374,7 +1373,6 @@ def check_streaming_foldin(case: IngestCase) -> list[Diagnostic]:
     ingest_cfg = IngestConfig(
         lam=case.lam,
         alpha=case.alpha if case.alpha > 0 else None,
-        shards=case.shards,
         cg=CGConfig(max_iters=case.fs),
         compact_every=case.compact_every,
     )

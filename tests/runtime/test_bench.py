@@ -76,7 +76,6 @@ class TestRunBench:
     def test_ingest_section_shape(self, result):
         ingest = result["sections"]["ingest"]
         assert ingest["delta_ratings"] == TINY.ingest_delta_ratings
-        assert ingest["shards"] == TINY.ingest_shards
         assert ingest["rows_folded"] > 0
         assert ingest["foldin_ms"] > 0
         assert ingest["foldin_ms"] == ingest["optimized_seconds"] * 1e3

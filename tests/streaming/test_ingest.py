@@ -58,6 +58,21 @@ class TestIngestAck:
             engine.ingest(0, 99, 1.0)
         engine.close()
 
+    @pytest.mark.parametrize("rating", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rating_rejected_before_ack(self, tmp_path, rating):
+        engine, *_ = make_engine(tmp_path)
+        with pytest.raises(ValueError, match="not finite"):
+            engine.ingest(3, 2, rating)
+        assert engine.pending_count == 0
+        assert list(engine.wal.replay()) == []
+        # The user's row still moves on a later valid rating.
+        before = engine.x[3].copy()
+        engine.ingest(3, 2, 4.0)
+        result = engine.apply()
+        assert 3 in result.users.tolist()
+        assert engine.x[3].tobytes() != before.tobytes()
+        engine.close()
+
     def test_fresh_directory_guard(self, tmp_path):
         engine, ratings, x, theta = make_engine(tmp_path)
         engine.close()
@@ -142,10 +157,40 @@ class TestChaosHooks:
         engine.ingest(2, 2, 4.0)
         engine.poison_next_foldin = True
         result = engine.apply()
-        assert result.foldin_repairs >= 1
-        assert engine.foldin_repairs >= 1
+        assert result.foldin_repairs == 1
+        assert engine.foldin_repairs == 1
         assert np.all(np.isfinite(engine.x)) and np.all(np.isfinite(engine.theta))
         engine.close()
+
+    def test_poison_repair_runs_the_guard_ladder_bit_exactly(self, tmp_path):
+        ops = stream_ops(9, seed=5)
+        engines = []
+        for name, poison in (("clean", False), ("poisoned", True)):
+            engine, *_ = make_engine(tmp_path / name)
+            for u, v, r in ops:
+                engine.ingest(u, v, r)
+            engine.poison_next_foldin = poison
+            result = engine.apply()
+            engines.append((engine, result))
+        (clean, clean_result), (poisoned, result) = engines
+        assert clean_result.foldin_repairs == 0 and not clean.executor.health.events
+        assert result.foldin_repairs == 1
+        kinds = [e.kind for e in poisoned.executor.health.events]
+        assert kinds == ["fault.nan-flip", "guard.quarantine", "guard.repair-fp32"]
+        flipped, quarantined, repaired = poisoned.executor.health.events
+        assert len(flipped.lanes) == 1
+        assert quarantined.lanes == repaired.lanes == flipped.lanes
+        # The FP32 re-solve from the pristine system installs exactly
+        # what the unpoisoned apply installed.
+        assert poisoned.x.tobytes() == clean.x.tobytes()
+        assert poisoned.theta.tobytes() == clean.theta.tobytes()
+        assert poisoned.digest == clean.digest
+        # The fault is one-shot: the next apply runs clean.
+        poisoned.ingest(0, 0, 2.0)
+        assert poisoned.apply().foldin_repairs == 0
+        assert poisoned.executor.faults is None
+        clean.close()
+        poisoned.close()
 
 
 class TestKillReplay:
@@ -205,4 +250,125 @@ class TestKillReplay:
         stats = engine.stats()
         assert json.loads(json.dumps(stats)) == stats
         assert stats["applies"] == 1 and stats["pending"] == 0
+        engine.close()
+
+
+def merged_oracle(ratings, stream):
+    """``from_coo`` of base ∪ stream, the newest rating winning."""
+    merged = {}
+    for u in range(ratings.m):
+        cols, vals = ratings.user_items(u)
+        for v, r in zip(cols.tolist(), vals.tolist()):
+            merged[(u, v)] = r
+    for u, v, r in stream:
+        merged[(u, v)] = r
+    keys = list(merged)
+    return RatingMatrix.from_coo(
+        np.array([k[0] for k in keys]),
+        np.array([k[1] for k in keys]),
+        np.array([merged[k] for k in keys], dtype=np.float32),
+        m=ratings.m,
+        n=ratings.n,
+    )
+
+
+def assert_rows_match(engine, oracle):
+    """Every row the engine would build equals the oracle's, both ways."""
+    for items, full in ((False, oracle), (True, oracle.transpose())):
+        ids = np.arange(full.m, dtype=np.int64)
+        rows = engine._dirty_rows(ids, items=items)
+        assert rows.m == full.m and rows.n == full.n
+        np.testing.assert_array_equal(rows.row_ptr, full.row_ptr)
+        np.testing.assert_array_equal(rows.col_idx, full.col_idx)
+        assert rows.row_val.tobytes() == full.row_val.astype(np.float32).tobytes()
+        # A subset is the same rows, re-numbered.
+        sub = ids[1::3]
+        part = engine._dirty_rows(sub, items=items)
+        for i, row in enumerate(sub.tolist()):
+            lo, hi = part.row_ptr[i], part.row_ptr[i + 1]
+            flo, fhi = full.row_ptr[row], full.row_ptr[row + 1]
+            np.testing.assert_array_equal(part.col_idx[lo:hi], full.col_idx[flo:fhi])
+            np.testing.assert_array_equal(part.row_val[lo:hi], full.row_val[flo:fhi])
+
+
+class TestDirtyRowMerge:
+    def stream(self, ratings):
+        """Re-rates a base entry, re-rates a streamed entry, adds new ones."""
+        u = int(np.flatnonzero(ratings.row_counts())[0])
+        v = int(ratings.user_items(u)[0][0])
+        ops = [(u, v, 1.25)]  # re-rating a base entry
+        ops += stream_ops(10, seed=11)
+        ops.append(ops[1][:2] + (4.75,))  # re-rating a streamed entry
+        ops.append((u, v, 2.5))  # and the base entry once more
+        ops += stream_ops(6, seed=12)
+        base = {(r, c) for r in range(ratings.m) for c in ratings.user_items(r)[0].tolist()}
+        assert any((r, c) not in base for r, c, _ in ops)  # new entries too
+        return ops
+
+    def test_rows_equal_full_rebuild(self, tmp_path):
+        engine, ratings, *_ = make_engine(tmp_path)
+        ops = self.stream(ratings)
+        for i, op in enumerate(ops):
+            engine.ingest(*op)
+            if i % 4 == 3:
+                engine.apply()
+        assert_rows_match(engine, merged_oracle(ratings, ops))
+        engine.close()
+
+    def test_rows_equal_full_rebuild_after_resume_across_compaction(self, tmp_path):
+        engine, ratings, *_ = make_engine(tmp_path, compact_every=1)
+        ops = self.stream(ratings)
+        kill_at = len(ops) - 5
+        for i, op in enumerate(ops[:kill_at]):
+            engine.ingest(*op)
+            if i % 3 == 2:
+                engine.apply()
+        assert engine.compactions >= 1
+        del engine
+        resumed = IngestEngine.resume(
+            tmp_path, ratings,
+            config=IngestConfig(compact_every=1, cg=CGConfig(max_iters=8)),
+        )
+        assert_rows_match(resumed, merged_oracle(ratings, ops[:kill_at]))
+        for op in ops[kill_at:]:
+            resumed.ingest(*op)
+        resumed.apply()
+        assert_rows_match(resumed, merged_oracle(ratings, ops))
+        resumed.close()
+
+
+class TestApplyIsDirtySized:
+    def test_no_corpus_sized_matrix_and_exact_dirty_rows(self, tmp_path, monkeypatch):
+        from repro.runtime.executor import CsrView, ShardExecutor
+
+        engine, ratings, *_ = make_engine(tmp_path)
+        ops = [(3, 2, 5.0), (3, 7, 1.0), (8, 2, 2.0)]
+        for op in ops:
+            engine.ingest(*op)
+        built = []
+        for cls in (RatingMatrix, CsrView):
+            init = cls.__init__
+
+            def spy(self, *args, _init=init, **kwargs):
+                _init(self, *args, **kwargs)
+                built.append(self.m)
+
+            monkeypatch.setattr(cls, "__init__", spy)
+        solved = {}
+        half_step = ShardExecutor.half_step
+
+        def spy_half_step(self, rows, *args, **kwargs):
+            solved[kwargs["key"]] = np.diff(rows.row_ptr).tolist()
+            return half_step(self, rows, *args, **kwargs)
+
+        monkeypatch.setattr(ShardExecutor, "half_step", spy_half_step)
+        result = engine.apply()
+        assert built and engine.m not in built and engine.n not in built
+        assert result.users.tolist() == [3, 8] and result.items.tolist() == [2, 7]
+        # half_step saw exactly the merged dirty rows, in id order.
+        oracle = merged_oracle(ratings, ops)
+        assert solved == {
+            "x": oracle.row_counts()[[3, 8]].tolist(),
+            "theta": oracle.col_counts()[[2, 7]].tolist(),
+        }
         engine.close()
